@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -186,10 +187,15 @@ void Server::drain() {
     std::lock_guard<std::mutex> lock(mu_);
     conns.swap(connections_);
   }
-  for (const auto& conn : conns) ::shutdown(conn->fd, SHUT_RDWR);
+  for (const auto& conn : conns) {
+    // Under write_mu: a reader that already exited has closed its fd,
+    // and the number may since belong to someone else.
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    if (conn->fd >= 0) ::shutdown(conn->fd, SHUT_RDWR);
+  }
+  // Each reader closes its own fd on the way out.
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
-    ::close(conn->fd);
   }
   if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
 }
@@ -202,6 +208,8 @@ Server::Stats Server::stats() const {
   out.rejected = stat_rejected_.load();
   out.sessions_opened = stat_sessions_opened_.load();
   out.sessions_finished = stat_sessions_finished_.load();
+  std::lock_guard<std::mutex> lock(mu_);
+  out.connections = connections_.size();
   return out;
 }
 
@@ -216,11 +224,21 @@ void Server::accept_loop() {
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
     bool late = false;
+    std::vector<std::shared_ptr<Connection>> finished;
     {
       std::lock_guard<std::mutex> lock(mu_);
       late = draining_;
+      // Reap connections whose reader has exited, so a long-lived
+      // server holds no joinable thread (and its stack) per dead peer.
+      const auto done = std::partition(
+          connections_.begin(), connections_.end(),
+          [](const auto& c) { return !c->finished.load(); });
+      finished.assign(std::make_move_iterator(done),
+                      std::make_move_iterator(connections_.end()));
+      connections_.erase(done, connections_.end());
       if (!late) connections_.push_back(conn);
     }
+    for (const auto& done : finished) done->reader.join();
     if (late) {
       ::close(fd);
       continue;
@@ -230,17 +248,27 @@ void Server::accept_loop() {
 }
 
 void Server::reader_loop(std::shared_ptr<Connection> conn) {
+  read_frames(conn);
+  // The reader owns its socket: whichever way it exits, the fd is
+  // closed now, not at drain(). Marking the connection dead is what
+  // lets a later hello rebind the tenant and the idle sweep evict it.
+  {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    conn->dead.store(true);
+    ::close(conn->fd);
+    conn->fd = -1;
+  }
+  conn->finished.store(true);  // last act: the acceptor may now join
+}
+
+void Server::read_frames(const std::shared_ptr<Connection>& conn) {
   net::FrameDecoder decoder;
   std::uint8_t chunk[4096];
   for (;;) {
     const ssize_t got = ::recv(conn->fd, chunk, sizeof chunk, 0);
     if (got <= 0) {
       if (got < 0 && errno == EINTR) continue;
-      // Peer closed (or we shut the socket down in drain). Marking the
-      // connection dead is what lets a later hello rebind the tenant
-      // and the idle sweep evict it.
-      conn->dead.store(true);
-      return;
+      return;  // peer closed, or drain() shut the socket down
     }
     decoder.feed(chunk, static_cast<std::size_t>(got));
     net::Frame frame;
@@ -252,18 +280,13 @@ void Server::reader_loop(std::shared_ptr<Connection> conn) {
         obs_bad_frames_->inc();
         send_status(conn, net::FrameType::kHello,
                     net::FrameStatus::kBadFrame, decoder.error());
-        conn->dead.store(true);
-        // Full shutdown so the peer sees EOF after the error reply
-        // (already-queued data still drains first on Linux).
-        ::shutdown(conn->fd, SHUT_RDWR);
+        // The peer sees EOF after the error reply (already-queued
+        // data still drains first on Linux).
         return;  // framing has no resync point
       }
       stat_frames_.fetch_add(1);
       handle_frame(conn, std::move(frame));
-      if (conn->dead.load()) {
-        ::shutdown(conn->fd, SHUT_RDWR);
-        return;
-      }
+      if (conn->dead.load()) return;  // a reply could not be written
     }
   }
 }
@@ -578,6 +601,9 @@ bool Server::send_frame(Connection& conn, const net::Frame& frame) {
   std::vector<std::uint8_t> wire;
   net::encode_frame(frame, wire);
   std::lock_guard<std::mutex> lock(conn.write_mu);
+  // Re-checked under the lock: the reader may have released the fd
+  // (and the number may be reused) since the check above.
+  if (conn.fd < 0) return false;
   if (!send_all(conn.fd, wire.data(), wire.size())) {
     conn.dead.store(true);
     return false;

@@ -6,9 +6,12 @@
 // Threading model (all shared state under one server mutex; sessions
 // are touched by the scheduler thread only):
 //
-//   acceptor thread     accept() loop; spawns one reader per conn
+//   acceptor thread     accept() loop; spawns one reader per conn and
+//                       joins the readers that have exited
 //   reader threads      parse frames; enqueue work; answer protocol
-//                       errors and admission rejections immediately
+//                       errors and admission rejections immediately;
+//                       on EOF, a framing error or an unwritable
+//                       reply, close their own socket at once
 //   scheduler thread    pops per-tenant queues round-robin, steps the
 //                       SessionPool, writes step/result replies
 //   worker pool         ONE common::ThreadPool every tenant's local
@@ -28,6 +31,12 @@
 //   graceful drain      drain() stops accepting work (late frames get
 //                       kShuttingDown), finishes everything already
 //                       queued, flushes replies, then joins threads
+//
+// Who closes a connection: its reader thread, under write_mu, which
+// also sets fd = -1. send_frame re-checks fd under write_mu and skips
+// a released connection, and drain() shuts down only an fd that is
+// still open (its reader then closes it), so no descriptor is written
+// or shut down after close, or closed twice.
 //
 // Because sessions are stepped by one thread over seed-derived RNG
 // streams, a served session's final_parameters are bit-identical to
@@ -123,6 +132,9 @@ class Server {
     std::uint64_t rejected = 0;           ///< admission-control refusals
     std::uint64_t sessions_opened = 0;
     std::uint64_t sessions_finished = 0;
+    /// Connections whose reader thread has not been joined yet: live
+    /// ones, plus dead ones the acceptor has not reaped.
+    std::uint64_t connections = 0;
   };
   Stats stats() const;
 
@@ -131,6 +143,8 @@ class Server {
     int fd = -1;
     std::mutex write_mu;
     std::atomic<bool> dead{false};
+    /// Set by the reader as its last act; the acceptor then joins it.
+    std::atomic<bool> finished{false};
     /// Index into tenants_; set once by the hello handler (the
     /// connection's own reader thread) before any use.
     std::optional<std::size_t> tenant_id;
@@ -168,6 +182,9 @@ class Server {
 
   void accept_loop();
   void reader_loop(std::shared_ptr<Connection> conn);
+  /// The reader's frame loop; returns on EOF, a framing error, or a
+  /// reply that could not be written.
+  void read_frames(const std::shared_ptr<Connection>& conn);
   void scheduler_loop();
   /// Idle sweep (scheduler thread, mu_ held): evicts tenants whose
   /// connection died and whose inactivity exceeds the timeout.

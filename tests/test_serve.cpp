@@ -513,6 +513,15 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
     ASSERT_GT(::send(fd, image.data(), image.size() / 2, 0), 0);
     ::close(fd);
   }
+  // The single acceptor takes connections in backlog order, so once a
+  // later connection has been answered every vandal has been accepted:
+  // without this the fd check could pass before the server held any of
+  // them. The probe itself then becomes a ninth dead connection.
+  {
+    flips::serve::Client probe;
+    probe.connect_uds(socket);
+    EXPECT_FALSE(probe.metrics().empty());
+  }
 
   // Reader threads notice EOF and release their fds; allow a grace
   // window, then require the count back at (or below) the baseline.
@@ -529,6 +538,36 @@ TEST(ServeEndToEnd, MidFrameResetsLeakNoFdsAndServiceContinues) {
   EXPECT_EQ(step_once(client, 1, reply), FrameStatus::kOk);
   server.drain();
   EXPECT_EQ(server.stats().steps, 1u);
+}
+
+TEST(ServeEndToEnd, ExitedReadersAreJoinedBeforeDrain) {
+  const std::string socket = test_socket_path("reap");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  // Each probe is answered, then closed. The acceptor joins every
+  // reader that has exited by the next accept, so only the newest
+  // probe's connection may still be held — not one per dead peer.
+  const auto probe_once = [&] {
+    flips::serve::Client probe;
+    probe.connect_uds(socket);
+    EXPECT_FALSE(probe.metrics().empty());
+  };
+  for (int i = 0; i < 8; ++i) probe_once();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  do {
+    probe_once();
+    if (server.stats().connections <= 1) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  } while (std::chrono::steady_clock::now() < deadline);
+  EXPECT_LE(server.stats().connections, 1u);
+
+  server.drain();
+  EXPECT_EQ(server.stats().connections, 0u);
 }
 
 TEST(ServeEndToEnd, ReconnectAndReplayIsBitIdenticalUnderFaults) {
