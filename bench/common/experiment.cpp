@@ -48,7 +48,7 @@ Federation build_federation(const ExperimentConfig& config,
   dc.alpha = config.alpha;
   dc.test_per_class = 100;  // keep per-label eval noise low
   dc.seed = seed;
-  const auto fed = flips::data::build_federated_data(dc);
+  auto fed = flips::data::build_federated_data(dc);
 
   Federation out;
   flips::common::Rng profile_rng(seed ^ 0xBEEF);
@@ -66,12 +66,13 @@ Federation build_federation(const ExperimentConfig& config,
     } else {
       profile.speed_factor = speed_factor_for(p, profile_rng);
     }
-    out.parties.emplace_back(p, fed.party_data[p], profile);
-    // TiFL's profiling pass: latency proportional to per-round work.
+    // TiFL's profiling pass: latency proportional to per-round work
+    // (read before the party's data moves into its Party).
     out.latencies.push_back(profile.speed_factor *
                             static_cast<double>(fed.party_data[p].size()));
+    out.parties.emplace_back(p, std::move(fed.party_data[p]), profile);
   }
-  out.global_test = fed.global_test;
+  out.global_test = std::move(fed.global_test);
 
   // FLIPS clustering on label distributions in Hellinger space
   // (Euclidean over sqrt-proportions): a proper distribution distance
@@ -92,7 +93,7 @@ Federation build_federation(const ExperimentConfig& config,
   const auto result = flips::cluster::kmeans(points, kc, cluster_rng);
   out.flips_clusters = result.assignments;
   out.num_flips_clusters = kc.k;
-  out.label_distributions = fed.label_distributions;
+  out.label_distributions = std::move(fed.label_distributions);
   return out;
 }
 
@@ -137,9 +138,12 @@ FederationKey federation_key(const ExperimentConfig& config,
 
 std::shared_ptr<const Federation> cached_federation(
     const ExperimentConfig& config, std::uint64_t seed) {
-  // ~8 MB per cacheable entry, tops. Capacity must cover one cell's
-  // full run set (selector cells replay the same `runs` seeds back to
-  // back) or the LRU would churn at 0% hit rate for runs > capacity.
+  // An entry holds one copy of its party data (build_federation moves
+  // it into the parties, it does not copy it): up to kMaxSamples rows
+  // of 64 features (femnist, fashion) is ~33 MB of features, plus the
+  // test set. Capacity must cover one cell's full run set (selector
+  // cells replay the same `runs` seeds back to back) or the LRU would
+  // churn at 0% hit rate for runs > capacity.
   const std::size_t max_entries = std::max<std::size_t>(
       8, config.scale.runs);
   constexpr std::size_t kMaxSamples = 64'000;  // parties x samples
@@ -149,7 +153,8 @@ std::shared_ptr<const Federation> cached_federation(
   // The serving plane builds sessions on its scheduler thread while
   // e.g. a loadgen's bit-identity re-run builds in-process on another;
   // serializing the whole lookup (builds included) keeps concurrent
-  // misses on the same key from duplicating an 8 MB federation.
+  // misses on the same key from duplicating a federation of up to
+  // ~33 MB.
   std::lock_guard<std::mutex> cache_lock(cache_mu);
 
   const bool cacheable =

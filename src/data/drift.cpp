@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <stdexcept>
 
 #include "common/stats.h"
 
@@ -15,6 +16,7 @@ DriftResult apply_label_drift(const SyntheticSpec& spec,
   if (party_data.empty()) return result;
 
   common::Rng rng(config.seed);
+  const FeatureSampler sampler(spec);
   const std::size_t n = party_data.size();
   const auto affected = static_cast<std::size_t>(
       config.affected_fraction * static_cast<double>(n) + 0.5);
@@ -28,12 +30,18 @@ DriftResult apply_label_drift(const SyntheticSpec& spec,
     const std::size_t p = order[i];
     Dataset& party = result.party_data[p];
     const auto before = common::normalized(label_distribution(party));
-    if (i < affected && party.num_classes > 0) {
+    if (i < affected && party.num_classes > 0 && party.size() > 0) {
+      if (party.features.rows() != party.size() ||
+          party.features.cols() != sampler.feature_dim()) {
+        throw std::invalid_argument(
+            "apply_label_drift: party features are not size() x "
+            "spec.feature_dim");
+      }
       for (std::size_t s = 0; s < party.labels.size(); ++s) {
         const auto rotated = static_cast<std::uint32_t>(
             (party.labels[s] + config.label_rotation) % party.num_classes);
         party.labels[s] = rotated;
-        party.features[s] = sample_features(spec, rotated, rng);
+        sampler.sample(rotated, rng, party.features.row(s));
       }
     }
     const auto after = common::normalized(label_distribution(party));

@@ -71,34 +71,37 @@ FederatedData build_federated_data(const FederatedDataConfig& config) {
   FederatedData data;
   common::Rng rng(config.seed);
   const std::size_t c = config.spec.num_classes;
+  const FeatureSampler sampler(config.spec);
 
   const auto priors = party_label_priors(config, rng);
 
-  data.party_data.reserve(config.num_parties);
+  data.party_data.resize(config.num_parties);
   data.label_distributions.reserve(config.num_parties);
   for (std::size_t p = 0; p < config.num_parties; ++p) {
-    Dataset party;
+    Dataset& party = data.party_data[p];
     party.num_classes = c;
-    party.features.reserve(config.samples_per_party);
-    party.labels.reserve(config.samples_per_party);
+    party.features.resize(config.samples_per_party, sampler.feature_dim());
+    party.labels.resize(config.samples_per_party);
     for (std::size_t s = 0; s < config.samples_per_party; ++s) {
       const auto label =
           static_cast<std::uint32_t>(rng.categorical(priors[p]));
-      party.labels.push_back(label);
-      party.features.push_back(sample_features(config.spec, label, rng));
+      party.labels[s] = label;
+      sampler.sample(label, rng, party.features.row(s));
     }
     data.label_distributions.push_back(label_distribution(party));
-    data.party_data.push_back(std::move(party));
   }
 
   // Balanced held-out test set: per-class recall (and hence balanced
   // accuracy) gets equal evidence for rare and common labels.
-  data.global_test.num_classes = c;
+  Dataset& test = data.global_test;
+  test.num_classes = c;
+  test.features.resize(c * config.test_per_class, sampler.feature_dim());
+  test.labels.resize(c * config.test_per_class);
+  std::size_t row = 0;
   for (std::uint32_t label = 0; label < c; ++label) {
-    for (std::size_t s = 0; s < config.test_per_class; ++s) {
-      data.global_test.labels.push_back(label);
-      data.global_test.features.push_back(
-          sample_features(config.spec, label, rng));
+    for (std::size_t s = 0; s < config.test_per_class; ++s, ++row) {
+      test.labels[row] = label;
+      sampler.sample(label, rng, test.features.row(row));
     }
   }
   return data;

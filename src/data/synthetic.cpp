@@ -1,6 +1,7 @@
 #include "data/synthetic.h"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace flips::data {
 
@@ -61,28 +62,38 @@ LabelDistribution label_distribution(const Dataset& dataset) {
   return counts;
 }
 
-std::vector<double> sample_features(const SyntheticSpec& spec,
-                                    std::uint32_t label, common::Rng& rng) {
-  // Prototype for `label`: a deterministic Gaussian direction scaled to
-  // `class_separation`. Re-deriving it per call keeps the generator
-  // stateless; the per-class Rng seed makes it identical across calls.
-  common::Rng proto_rng(spec.prototype_seed ^
-                        (0x9E37u + 0x1000193u * (label + 1)));
-  std::vector<double> x(spec.feature_dim, 0.0);
-  double norm = 0.0;
-  for (auto& v : x) {
-    v = proto_rng.normal();
-    norm += v * v;
+FeatureSampler::FeatureSampler(const SyntheticSpec& spec)
+    : prototypes_(spec.num_classes, spec.feature_dim),
+      feature_noise_(spec.feature_noise) {
+  for (std::uint32_t label = 0; label < spec.num_classes; ++label) {
+    common::Rng proto_rng(spec.prototype_seed ^
+                          (0x9E37u + 0x1000193u * (label + 1)));
+    double* proto = prototypes_.row(label);
+    double norm = 0.0;
+    for (std::size_t i = 0; i < spec.feature_dim; ++i) {
+      proto[i] = proto_rng.normal();
+      norm += proto[i] * proto[i];
+    }
+    norm = std::sqrt(norm);
+    const double root_dim = std::sqrt(static_cast<double>(spec.feature_dim));
+    const double scale =
+        norm > 0.0 ? spec.class_separation / norm * root_dim : 0.0;
+    for (std::size_t i = 0; i < spec.feature_dim; ++i) {
+      proto[i] = proto[i] * scale;
+    }
   }
-  norm = std::sqrt(norm);
-  const double scale = norm > 0.0 ? spec.class_separation / norm *
-                                        std::sqrt(static_cast<double>(
-                                            spec.feature_dim))
-                                  : 0.0;
-  for (auto& v : x) {
-    v = v * scale + spec.feature_noise * rng.normal();
+}
+
+void FeatureSampler::sample(std::uint32_t label, common::Rng& rng,
+                            double* out) const {
+  if (label >= prototypes_.rows()) {
+    throw std::out_of_range("FeatureSampler: label " + std::to_string(label) +
+                            " outside the spec");
   }
-  return x;
+  const double* proto = prototypes_.row(label);
+  for (std::size_t i = 0; i < prototypes_.cols(); ++i) {
+    out[i] = proto[i] + feature_noise_ * rng.normal();
+  }
 }
 
 ImagePatchGenerator::ImagePatchGenerator(std::size_t image_size,

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ml/tensor.h"
 
 namespace flips::data {
 
@@ -44,7 +45,9 @@ struct DatasetCatalog {
 };
 
 struct Dataset {
-  std::vector<std::vector<double>> features;
+  /// One row per sample, row-major in one block: rows = size(), cols =
+  /// the spec's feature_dim.
+  ml::Tensor features;
   std::vector<std::uint32_t> labels;
   std::size_t num_classes = 0;
 
@@ -56,11 +59,26 @@ using LabelDistribution = std::vector<double>;
 
 [[nodiscard]] LabelDistribution label_distribution(const Dataset& dataset);
 
-/// Samples one feature vector for `label` under `spec`. The prototype
-/// geometry depends only on the spec; `rng` drives the additive noise.
-[[nodiscard]] std::vector<double> sample_features(const SyntheticSpec& spec,
-                                                  std::uint32_t label,
-                                                  common::Rng& rng);
+/// Draws feature rows under one spec. Each label's class prototype is
+/// a deterministic Gaussian direction scaled to `class_separation`; it
+/// depends only on the spec, so the sampler computes it once per label
+/// and every sample is that prototype plus `feature_noise` Gaussian
+/// noise.
+class FeatureSampler {
+ public:
+  explicit FeatureSampler(const SyntheticSpec& spec);
+
+  /// Writes one sample of `label` into `out` (feature_dim() values).
+  /// `rng` drives the noise: one normal per feature, in order. Throws
+  /// std::out_of_range for a label outside the spec's classes.
+  void sample(std::uint32_t label, common::Rng& rng, double* out) const;
+
+  std::size_t feature_dim() const { return prototypes_.cols(); }
+
+ private:
+  ml::Tensor prototypes_;  ///< num_classes x feature_dim, scaled
+  double feature_noise_;
+};
 
 struct Batch {
   std::vector<std::vector<double>> features;

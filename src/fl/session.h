@@ -200,7 +200,6 @@ class FederationSession {
   std::size_t dim_ = 0;
   std::uint64_t model_bytes_ = 0;
   std::vector<double> global_params_;
-  ml::Tensor test_features_;
   common::Rng rng_;  ///< feeds only DP noise after party streams split
   ServerOptimizer server_;
   ml::SgdOptimizer local_sgd_;

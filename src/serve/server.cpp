@@ -354,12 +354,16 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
       return;
     }
     case net::FrameType::kShutdown: {
-      send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
+      // Flag first, ack second: a client that has read the ack must
+      // find shutdown_requested() true. drain() shuts this socket only
+      // after the acceptor and the scheduler have exited, so the ack
+      // still goes out on the open connection.
       {
         std::lock_guard<std::mutex> lock(mu_);
         shutdown_requested_ = true;
       }
       shutdown_cv_.notify_all();
+      send_status(conn, frame.type, net::FrameStatus::kOk, "draining");
       return;
     }
     case net::FrameType::kMetrics: {

@@ -1,8 +1,12 @@
 // Federation builder: Dirichlet label-marginal correctness, skew
-// behaviour, planted modes, and drift.
+// behaviour, planted modes, drift, and bit-identity pins.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <vector>
 
 #include "common/stats.h"
 #include "data/drift.h"
@@ -59,8 +63,7 @@ TEST(DirichletPartitioner, HistogramsMatchDatasets) {
     EXPECT_EQ(flips::data::label_distribution(data.party_data[p]),
               data.label_distributions[p]);
     EXPECT_EQ(data.party_data[p].size(), config.samples_per_party);
-    EXPECT_EQ(data.party_data[p].features.front().size(),
-              config.spec.feature_dim);
+    EXPECT_EQ(data.party_data[p].features.cols(), config.spec.feature_dim);
   }
 }
 
@@ -185,6 +188,29 @@ TEST(Drift, RotatesAffectedPartiesOnly) {
   EXPECT_DOUBLE_EQ(unchanged.mean_shift, 0.0);
 }
 
+TEST(Drift, RejectsFeaturesOfTheWrongWidth) {
+  FederatedDataConfig config;
+  config.spec = DatasetCatalog::ecg();
+  config.num_parties = 4;
+  config.samples_per_party = 5;
+  auto data = build_federated_data(config);
+  data.party_data[2].features = flips::ml::Tensor(5, 3);
+  flips::data::DriftConfig drift;
+  drift.affected_fraction = 1.0;
+  EXPECT_THROW((void)apply_label_drift(config.spec, data.party_data, drift),
+               std::invalid_argument);
+}
+
+TEST(FeatureSampler, RejectsLabelsOutsideTheSpec) {
+  const auto spec = DatasetCatalog::ecg();
+  const flips::data::FeatureSampler sampler(spec);
+  ASSERT_EQ(sampler.feature_dim(), spec.feature_dim);
+  std::vector<double> row(spec.feature_dim);
+  flips::common::Rng rng(1);
+  EXPECT_NO_THROW(sampler.sample(4, rng, row.data()));
+  EXPECT_THROW(sampler.sample(5, rng, row.data()), std::out_of_range);
+}
+
 TEST(ImagePatchGenerator, ShapesAndLabels) {
   flips::data::ImagePatchGenerator gen(8, 3, flips::common::Rng(4));
   const auto batch = gen.sample(10);
@@ -196,6 +222,114 @@ TEST(ImagePatchGenerator, ShapesAndLabels) {
   for (const auto label : batch.labels) {
     EXPECT_LT(label, 3u);
   }
+}
+
+// ---- Federation bit-identity pins ----------------------------------
+// FNV-1a over every byte a federation hands to training: each party's
+// labels and feature bit patterns, the label histograms and the global
+// test set. The pinned values were produced by the original
+// per-sample synthesis; any change to how samples are drawn or stored
+// that alters a single bit of a generated federation fails here.
+
+class Fnv1a {
+ public:
+  void add_u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xFFu;
+      hash_ *= 0x100000001B3ull;
+    }
+  }
+  void add_double(double v) { add_u64(std::bit_cast<std::uint64_t>(v)); }
+  void add_dataset(const flips::data::Dataset& d, std::size_t dim) {
+    add_u64(d.size());
+    add_u64(d.num_classes);
+    for (std::size_t s = 0; s < d.size(); ++s) {
+      add_u64(d.labels[s]);
+      const double* row = d.features.row(s);
+      for (std::size_t i = 0; i < dim; ++i) add_double(row[i]);
+    }
+  }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ull;
+};
+
+std::uint64_t federation_hash(const flips::data::FederatedData& data,
+                              std::size_t dim) {
+  Fnv1a h;
+  h.add_u64(data.party_data.size());
+  for (const auto& party : data.party_data) h.add_dataset(party, dim);
+  for (const auto& ld : data.label_distributions) {
+    h.add_u64(ld.size());
+    for (const double v : ld) h.add_double(v);
+  }
+  h.add_dataset(data.global_test, dim);
+  return h.value();
+}
+
+/// Every party's features are one block of size() x feature_dim.
+void expect_party_shapes(const flips::data::FederatedData& data,
+                         std::size_t dim) {
+  for (const auto& party : data.party_data) {
+    EXPECT_EQ(party.features.rows(), party.size());
+    EXPECT_EQ(party.features.cols(), dim);
+  }
+  EXPECT_EQ(data.global_test.features.rows(), data.global_test.size());
+  EXPECT_EQ(data.global_test.features.cols(), dim);
+}
+
+FederatedDataConfig golden_dirichlet_config() {
+  FederatedDataConfig config;
+  config.spec = DatasetCatalog::ecg();
+  config.num_parties = 12;
+  config.samples_per_party = 30;
+  config.alpha = 0.3;
+  config.test_per_class = 10;
+  config.seed = 7;
+  return config;
+}
+
+TEST(FederationGolden, DirichletIsBitIdentical) {
+  const auto config = golden_dirichlet_config();
+  const auto data = build_federated_data(config);
+  expect_party_shapes(data, config.spec.feature_dim);
+  EXPECT_EQ(federation_hash(data, config.spec.feature_dim),
+            0xA70B849A2F8FDBA4ull);
+}
+
+TEST(FederationGolden, PlantedModesIsBitIdentical) {
+  FederatedDataConfig config;
+  config.spec = DatasetCatalog::femnist();
+  config.num_parties = 9;
+  config.samples_per_party = 25;
+  config.scheme = flips::data::PartitionScheme::kPlantedModes;
+  config.num_modes = 3;
+  config.test_per_class = 2;
+  config.seed = 21;
+  const auto data = build_federated_data(config);
+  expect_party_shapes(data, config.spec.feature_dim);
+  EXPECT_EQ(federation_hash(data, config.spec.feature_dim),
+            0xF4F24CBE86D3E5FAull);
+}
+
+TEST(FederationGolden, LabelDriftIsBitIdentical) {
+  const auto config = golden_dirichlet_config();
+  const auto data = build_federated_data(config);
+  flips::data::DriftConfig drift;
+  drift.affected_fraction = 0.5;
+  drift.label_rotation = 2;
+  drift.seed = 17;
+  const auto drifted =
+      apply_label_drift(config.spec, data.party_data, drift);
+  Fnv1a h;
+  for (const auto& party : drifted.party_data) {
+    EXPECT_EQ(party.features.rows(), party.size());
+    EXPECT_EQ(party.features.cols(), config.spec.feature_dim);
+    h.add_dataset(party, config.spec.feature_dim);
+  }
+  h.add_double(drifted.mean_shift);
+  EXPECT_EQ(h.value(), 0xA6ACCC0BA085FEA7ull);
 }
 
 }  // namespace
