@@ -82,12 +82,15 @@ Phase run_phase(const std::vector<flips::fl::Party>& parties,
                 std::size_t rounds, std::size_t nr, std::uint64_t seed,
                 std::vector<double>* final_params,
                 flips::fl::RoundObserver* observer = nullptr) {
-  // Non-owning alias: the bench's party vectors outlive every phase.
+  // Non-owning aliases: the bench's party vectors and test set outlive
+  // every phase.
   flips::fl::FederationSession session(
       job_config(rounds, nr, seed),
       std::shared_ptr<const std::vector<flips::fl::Party>>(
           std::shared_ptr<const void>{}, &parties),
-      test, std::move(model), std::move(selector));
+      std::shared_ptr<const flips::data::Dataset>(
+          std::shared_ptr<const void>{}, &test),
+      std::move(model), std::move(selector));
   session.add_observer(observer);
   while (!session.done()) session.advance();
   const auto result = session.result();

@@ -241,15 +241,18 @@ std::unique_ptr<flips::fl::FederationSession> make_session(
           : flips::ml::ModelFactory::logistic_regression(
                 config.spec.feature_dim, config.spec.num_classes, model_rng);
 
-  // The session aliases the cached federation's party vector — the
-  // aliasing shared_ptr keeps the whole cache entry alive for the
-  // session's lifetime (steppable sessions outlive this scope).
+  // The session aliases the cached federation's party vector and test
+  // set — the aliasing shared_ptrs keep the whole cache entry alive for
+  // the session's lifetime (steppable sessions outlive this scope), and
+  // no session holds a copy of the federation's data.
   std::shared_ptr<const std::vector<flips::fl::Party>> parties(
       fed_ptr, &fed_ptr->parties);
+  std::shared_ptr<const flips::data::Dataset> global_test(
+      fed_ptr, &fed_ptr->global_test);
   return std::make_unique<flips::fl::FederationSession>(
-      make_job_config(config, seed), std::move(parties), fed.global_test,
-      std::move(model), flips::select::make_selector(kind, ctx),
-      shared_pool);
+      make_job_config(config, seed), std::move(parties),
+      std::move(global_test), std::move(model),
+      flips::select::make_selector(kind, ctx), shared_pool);
 }
 
 SelectorResult run_selector(const ExperimentConfig& config,

@@ -48,9 +48,10 @@ FlJobResult FlJob::run() {
   // directly own or share their parties instead.
   std::shared_ptr<const std::vector<Party>> parties(
       std::shared_ptr<const std::vector<Party>>{}, &parties_);
-  FederationSession session(std::move(config_), std::move(parties),
-                            std::move(global_test_), std::move(model_),
-                            std::move(selector_));
+  FederationSession session(
+      std::move(config_), std::move(parties),
+      std::make_shared<const data::Dataset>(std::move(global_test_)),
+      std::move(model_), std::move(selector_));
   while (!session.done()) session.advance();
   return session.result();
 }

@@ -192,7 +192,7 @@ struct FederationSession::InFlight {
 
 FederationSession::FederationSession(
     FlJobConfig config, std::shared_ptr<const std::vector<Party>> parties,
-    data::Dataset global_test, ml::Sequential model,
+    std::shared_ptr<const data::Dataset> global_test, ml::Sequential model,
     std::unique_ptr<ParticipantSelector> selector,
     common::ThreadPool* shared_pool)
     : config_(std::move(config)),
@@ -294,8 +294,8 @@ FederationSession::FederationSession(
     : FederationSession(
           std::move(config),
           std::make_shared<const std::vector<Party>>(std::move(parties)),
-          std::move(global_test), std::move(model), std::move(selector),
-          shared_pool) {}
+          std::make_shared<const data::Dataset>(std::move(global_test)),
+          std::move(model), std::move(selector), shared_pool) {}
 
 FederationSession::~FederationSession() = default;
 
@@ -779,8 +779,8 @@ void FederationSession::evaluate_round(std::size_t round,
                         round % config_.eval_every == 0;
   if (eval_now) {
     const EvalResult eval =
-        evaluate(model_, global_test_.features, global_test_.labels,
-                 global_test_.num_classes, pool());
+        evaluate(model_, global_test_->features, global_test_->labels,
+                 global_test_->num_classes, pool());
     record.balanced_accuracy = eval.balanced_accuracy;
     record.per_label_accuracy = eval.per_label_accuracy;
   } else if (!history_.empty()) {

@@ -37,11 +37,12 @@
 //       downlink ships the full model per dispatch (no
 //       broadcast-delta compression).
 //
-// Ownership: the session owns (or shares) its parties — a value
-// vector or a shared_ptr<const std::vector<Party>> — so a session can
+// Ownership: the session owns (or shares) its parties and its test
+// set — values, or shared_ptr<const ...> aliases — so a session can
 // outlive the scope that built it. The legacy FlJob shim (fl/job.h)
-// wraps its borrowed reference in a non-owning alias and reproduces
-// the original blocking run() bit-for-bit on top of advance().
+// wraps its borrowed party reference in a non-owning alias and
+// reproduces the original blocking run() bit-for-bit on top of
+// advance().
 //
 // Observers (fl/observer.h) fire on the stepping thread in
 // registration order; the session's own byte/fairness/target
@@ -82,15 +83,17 @@ inline double staleness_discount(std::size_t staleness) {
 
 class FederationSession {
  public:
-  /// Shared party ownership: the alias may point into a larger cached
-  /// structure (the bench engine aliases its federation cache).
+  /// Shared ownership: either alias may point into a larger cached
+  /// structure (the bench engine aliases its federation cache, so a
+  /// session copies neither the parties' data nor the test set).
   FederationSession(FlJobConfig config,
                     std::shared_ptr<const std::vector<Party>> parties,
-                    data::Dataset global_test, ml::Sequential model,
+                    std::shared_ptr<const data::Dataset> global_test,
+                    ml::Sequential model,
                     std::unique_ptr<ParticipantSelector> selector,
                     common::ThreadPool* shared_pool = nullptr);
 
-  /// Value ownership: the session keeps its own copy of the fleet.
+  /// Value ownership: the session keeps its own fleet and test set.
   FederationSession(FlJobConfig config, std::vector<Party> parties,
                     data::Dataset global_test, ml::Sequential model,
                     std::unique_ptr<ParticipantSelector> selector,
@@ -181,7 +184,7 @@ class FederationSession {
 
   FlJobConfig config_;
   std::shared_ptr<const std::vector<Party>> parties_;
-  data::Dataset global_test_;
+  std::shared_ptr<const data::Dataset> global_test_;
   ml::Sequential model_;
   std::unique_ptr<ParticipantSelector> selector_;
 

@@ -443,11 +443,17 @@ void Server::handle_frame(const std::shared_ptr<Connection>& conn,
 }
 
 void Server::scheduler_loop() {
-  // With idle eviction on, the scheduler wakes periodically to sweep
-  // even when no work arrives (a dead tenant generates no frames).
+  // With idle eviction on, the scheduler sweeps on a fixed cadence
+  // whether or not work is queued: a dead tenant generates no frames,
+  // and while other tenants keep the queue non-empty the scheduler
+  // never waits. So a dead tenant's session outlives its timeout by at
+  // most one sweep period and one request, however busy the server is.
   const bool evicting = config_.tenant_idle_timeout_s > 0;
-  const auto sweep_every = std::chrono::duration<double>(
-      std::max(0.01, config_.tenant_idle_timeout_s / 4.0));
+  const auto sweep_every =
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(
+              std::max(0.01, config_.tenant_idle_timeout_s / 4.0)));
+  auto next_sweep = std::chrono::steady_clock::now() + sweep_every;
   for (;;) {
     Pending work;
     Tenant* tenant = nullptr;
@@ -457,9 +463,14 @@ void Server::scheduler_loop() {
         return pending_total_ > 0 || stop_scheduler_;
       };
       if (evicting) {
-        while (!runnable()) {
-          work_cv_.wait_for(lock, sweep_every);
-          evict_idle_tenants_locked(steady_now_ns());
+        for (;;) {
+          const auto now = std::chrono::steady_clock::now();
+          if (now >= next_sweep) {
+            evict_idle_tenants_locked(steady_now_ns());
+            next_sweep = now + sweep_every;
+          }
+          if (runnable()) break;
+          work_cv_.wait_until(lock, next_sweep);
         }
       } else {
         work_cv_.wait(lock, runnable);

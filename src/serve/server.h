@@ -91,7 +91,8 @@ struct ServerConfig {
   /// Idle eviction: a tenant whose connection is dead and that has been
   /// inactive (no frames, no queued work) this long has its session
   /// destroyed and its name released (flips_serve_evictions_total).
-  /// 0 = never evict.
+  /// The scheduler sweeps every timeout/4 (at least 10 ms), busy or
+  /// idle. 0 = never evict.
   double tenant_idle_timeout_s = 0.0;
 };
 

@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -685,6 +686,82 @@ TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
   EXPECT_EQ(fetch_result(reborn), solo_parameters(spec));
   server.drain();
   EXPECT_EQ(server.stats().sessions_opened, 2u);
+}
+
+TEST(ServeEndToEnd, IdleTenantIsEvictedWhileAnotherKeepsTheSchedulerBusy) {
+  const std::string socket = test_socket_path("busy_evict");
+  flips::serve::ServerConfig config;
+  config.uds_path = socket;
+  config.worker_threads = 1;
+  config.max_inflight_per_tenant = 16;
+  config.tenant_idle_timeout_s = 0.2;
+  flips::serve::Server server(config, test_factory);
+  server.start();
+
+  // The busy tenant keeps 8 steps outstanding and each step trains for
+  // a while, so the tenant refills the queue long before the scheduler
+  // drains it: the scheduler always finds work queued and never waits.
+  // The session has rounds to spare: it is still running when the test
+  // stops it.
+  auto busy_spec = small_spec(1'000'000, 77);
+  busy_spec.samples_per_party = 400;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> busy_steps{0};
+  std::thread busy([&] {
+    flips::serve::Client client;
+    client.connect_uds(socket);
+    client.hello("busy");
+    client.open_session(busy_spec.to_key_values());
+    std::uint64_t next_id = 1;
+    std::size_t outstanding = 0;
+    while (!stop.load() || outstanding > 0) {
+      if (!stop.load() && outstanding < 8) {
+        Frame request;
+        request.type = FrameType::kStep;
+        request.payload = flips::serve::encode_step_request(next_id++);
+        client.send(request);
+        ++outstanding;
+        continue;
+      }
+      const Frame response = client.recv();
+      --outstanding;
+      EXPECT_EQ(response.status, FrameStatus::kOk);
+      busy_steps.fetch_add(1);
+    }
+  });
+  while (busy_steps.load() == 0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  // The metrics registry is process-wide: a name no other case (or
+  // repeat) uses keeps an earlier eviction from counting here.
+  static int repeat = 0;
+  const std::string name = "idle-under-load-" + std::to_string(repeat++);
+  {
+    flips::serve::Client ghost;
+    ghost.connect_uds(socket);
+    ghost.hello(name);
+    ghost.open_session(small_spec(3, 505).to_key_values());
+  }  // connection dies with the session unstarted
+
+  flips::serve::Client watcher;
+  watcher.connect_uds(socket);
+  const std::string want =
+      "flips_serve_evictions_total{tenant=\"" + name + "\"} 1";
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool evicted = false;
+  while (!evicted && std::chrono::steady_clock::now() < deadline) {
+    evicted = watcher.metrics().find(want) != std::string::npos;
+    if (!evicted) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  const std::uint64_t steps_when_evicted = busy_steps.load();
+  stop.store(true);
+  busy.join();
+  EXPECT_TRUE(evicted) << "tenant was not evicted while the scheduler "
+                          "had work queued";
+  EXPECT_GT(busy_steps.load(), steps_when_evicted);
+  server.drain();
 }
 
 TEST(ServeEndToEnd, ShutdownWithStepInFlightDrainsCleanly) {
