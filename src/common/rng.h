@@ -5,6 +5,12 @@
 // from the same seed. Every distribution here is implemented directly
 // (splitmix64 core, Box-Muller normals, Marsaglia-Tsang gammas) so runs
 // reproduce bit-for-bit across compilers and platforms.
+//
+// splitmix64 is counter-based: draw k of a stream is a pure function of
+// the seed and k (the state only ever advances by a fixed odd constant),
+// so discard(n) skips n draws in O(1). That lets a long serial stream be
+// cut into pieces that separate threads generate from where each piece
+// starts, with the same bits as one thread drawing them in order.
 #pragma once
 
 #include <cmath>
@@ -38,11 +44,18 @@ class Rng {
 
   /// Raw 64-bit draw (splitmix64).
   std::uint64_t next() {
-    std::uint64_t z = (state_ += 0x9E3779B97F4A7C15ull);
+    std::uint64_t z = (state_ += kIncrement);
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
     z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
     return z ^ (z >> 31);
   }
+
+  /// Skips the next n raw draws: same state as n calls of next().
+  /// Arithmetic wraps mod 2^64, exactly like n successive increments.
+  void discard(std::uint64_t n) { state_ += n * kIncrement; }
+
+  /// Same stream position (equal states draw equal sequences).
+  friend bool operator==(const Rng&, const Rng&) = default;
 
   /// Uniform in [0, 1).
   double uniform() {
@@ -146,6 +159,8 @@ class Rng {
   }
 
  private:
+  static constexpr std::uint64_t kIncrement = 0x9E3779B97F4A7C15ull;
+
   std::uint64_t state_;
 };
 

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -251,6 +252,17 @@ std::vector<double> fetch_result(flips::serve::Client& client) {
   EXPECT_TRUE(
       flips::serve::decode_result_reply(response.payload, parameters));
   return parameters;
+}
+
+/// The value of one series in a metrics exposition, 0 while the series
+/// is absent. The registry is process-wide, so a counter keeps what
+/// earlier cases (and --gtest_repeat passes) added to it.
+std::uint64_t series_value(const std::string& exposition,
+                           const std::string& series) {
+  const std::string line = "\n" + series + " ";
+  const std::size_t at = ("\n" + exposition).find(line);
+  if (at == std::string::npos) return 0;
+  return std::stoull(exposition.substr(at + line.size() - 1));
 }
 
 TEST(ServeEndToEnd, UnequalTenantsAreBitIdenticalAndLifecycleIsClean) {
@@ -650,6 +662,13 @@ TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
   flips::serve::Server server(config, test_factory);
   server.start();
 
+  // Earlier repeats of this case left their ghost evictions in the
+  // process-wide registry: this one must add exactly one.
+  flips::serve::Client watcher;
+  watcher.connect_uds(socket);
+  const std::string series = "flips_serve_evictions_total{tenant=\"ghost\"}";
+  const std::uint64_t baseline = series_value(watcher.metrics(), series);
+
   const auto spec = small_spec(3, 505);
   {
     flips::serve::Client ghost;
@@ -661,16 +680,15 @@ TEST(ServeEndToEnd, IdleTenantIsEvictedAndTheNameIsReusable) {
   }  // connection dies with the session mid-run
 
   // The sweep fires once the tenant sits idle past the timeout.
-  flips::serve::Client watcher;
-  watcher.connect_uds(socket);
-  const std::string want = "flips_serve_evictions_total{tenant=\"ghost\"} 1";
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (watcher.metrics().find(want) == std::string::npos) {
+  std::uint64_t evictions = baseline;
+  while ((evictions = series_value(watcher.metrics(), series)) == baseline) {
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
         << "tenant was never evicted";
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
+  ASSERT_EQ(evictions, baseline + 1);
 
   // The evicted slot is gone: the name re-registers as a fresh tenant
   // whose brand-new session runs to a result.
